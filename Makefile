@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchjson benchdiff clusterrace replaygate bordergate workersgate scalegate
+.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchjson benchdiff replaygate bordergate scalegate
 
-ci: vet fmtcheck build race clusterrace validate replaygate bordergate workersgate scalegate benchsmoke benchdiff
+ci: vet fmtcheck build race validate replaygate bordergate scalegate benchsmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -21,34 +21,25 @@ build:
 test:
 	$(GO) test ./...
 
-# The raised timeout covers the scenario package's bundled-scenario
-# sweep, which is slow under the race detector.
+# race runs every package under the race detector, uncached: the lane
+# scheduler runs same-timestamp shard ticks on a worker pool, and the
+# control plane, visibility bus and real-time sessions juggle closures
+# across clocks, so all of them must stay data-race-free as they grow.
+# -p 1 serialises the packages and the timeout is raised: the scenario
+# package's full bundled sweep is slow under the race detector, and
+# contention with other raced packages would push it past the default
+# 10m per-package budget.
 race:
-	$(GO) test -race -timeout 30m ./...
-
-# clusterrace re-runs the control-plane packages under the race detector
-# uncached: the rebalance/failover/visibility paths (and the scenario
-# engine that drives them) juggle closures across the virtual clock and
-# must stay data-race-free even as they grow; rtserve rides along because
-# its sessions read ghost registries concurrently with the real-time
-# loop; internal/sim joins the list because the lane-batched scheduler
-# runs same-timestamp events on a worker pool and its commit-buffer
-# ordering must hold under the race detector. -p 1 serialises the
-# packages and the timeout is raised: the scenario package's full
-# bundled sweep is slow under the race detector, and contention with the
-# other raced packages would push it past the default 10m per-package
-# budget.
-clusterrace:
-	$(GO) test -race -count=1 -p 1 -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/world/ ./internal/scenario/ ./internal/rtserve/ ./internal/bench/
+	$(GO) test -race -count=1 -p 1 -timeout 30m ./...
 
 # validate parses and validates every bundled scenario without running it.
 validate:
 	$(GO) run ./cmd/servo-sim validate all
 
-# replaygate runs every bundled scenario twice and fails on any report
-# byte difference: the determinism contract, enforced over the whole
-# suite rather than the sampled scenarios the unit tests replay
-# (border-patrol is bundled, so its replay rides through here too).
+# replaygate runs every bundled scenario twice, on a worker pool of 1 and
+# of 4, and fails on any report byte difference: the determinism and
+# pool-size-independence contract, enforced over the whole suite rather
+# than the sampled scenarios the unit tests replay.
 replaygate:
 	$(GO) run ./cmd/servo-sim replay all
 
@@ -58,18 +49,11 @@ replaygate:
 bordergate:
 	$(GO) run ./cmd/servo-sim run border-patrol
 
-# workersgate is the parallel-execution determinism gate: the bundled
-# sharded scenarios must render byte-identical reports at -workers 1 and
-# -workers 4 (the lane-batched scheduler's pool-size-independence
-# contract).
-workersgate:
-	$(GO) test -count=1 -run TestWorkersByteIdentity ./internal/scenario/
-
 # scalegate runs the elastic-scaling scenarios with assertions on: the
 # diurnal cycle must scale 2 -> 8 -> 2 with zero lost players, and the
 # crash-looping shard must be quarantined while the cluster keeps
 # serving. (Their workers-1-vs-4 byte identity rides through
-# workersgate.)
+# replaygate.)
 scalegate:
 	$(GO) run ./cmd/servo-sim run daily-cycle crash-loop-quarantine
 

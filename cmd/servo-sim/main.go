@@ -11,13 +11,14 @@
 //	servo-sim run -v -seed 7 my-scenario.json
 //	servo-sim run -format csv rebalance-hotspot   # machine-readable report
 //	servo-sim run -topology grid:4x4 sharded-stress  # 2-D region tiles
-//	servo-sim replay all               # byte-identical replay gate
+//	servo-sim replay all               # byte-identical replay gate (workers 1 vs 4)
 //
 // Arguments to run/validate/replay are bundled scenario names or paths
 // to scenario JSON files (anything containing a path separator or ending
 // in .json is treated as a file). run exits non-zero if any scenario
-// fails its assertions; replay runs every scenario twice and exits
-// non-zero on any report byte difference.
+// fails its assertions; replay runs every scenario once on a worker pool
+// of 1 and once on a pool of 4 and exits non-zero on any report byte
+// difference.
 package main
 
 import (
@@ -137,7 +138,7 @@ func cmdRun(args []string) int {
 	verbose := fs.Bool("v", false, "log per-event progress to stderr")
 	seed := fs.Int64("seed", 0, "override every scenario's seed (0 = use the spec's)")
 	shards := fs.Int("shards", 0, "override every scenario's shard count (0 = use the spec's; >1 runs a region-sharded cluster)")
-	workers := fs.Int("workers", -1, "override every scenario's worker-pool size (-1 = use the spec's; 0 = classic serial loop; >=1 runs lane-batched shard ticks, byte-identical for every pool size)")
+	workers := fs.Int("workers", -1, "override every scenario's worker-pool size for concurrent shard ticks (-1 = use the spec's; 0 = 1; reports are byte-identical for every pool size)")
 	topology := fs.String("topology", "", `override every scenario's region topology: "band" or "grid:<X>x<Z>" (e.g. grid:4x4; requires a sharded scenario)`)
 	autoscale := fs.Bool("autoscale", false, "force-enable elastic shard autoscaling with default policy knobs (requires a sharded scenario; specs with their own autoscale section keep it)")
 	format := fs.String("format", "text", `report format: "text" or "csv" (csv covers summary metrics, assertions, and the per-tick series)`)
@@ -180,8 +181,8 @@ func cmdRun(args []string) int {
 			spec.Workers = *workers
 		}
 		if topo != nil {
-			// Also re-validated inside Run: a band-placement spec forced
-			// onto a grid (or a grid forced onto one shard) errors out.
+			// Also re-validated inside Run: a tile placement outside the
+			// forced tiling (or a grid forced onto one shard) errors out.
 			t := *topo
 			spec.Topology = &t
 		}
@@ -220,10 +221,11 @@ func cmdRun(args []string) int {
 	return 0
 }
 
-// cmdReplay is the determinism gate: every scenario runs twice and both
-// renderings (text and CSV, covering the full per-tick series) must be
-// byte-identical. Assertion failures are not replay failures — only a
-// divergent report is.
+// cmdReplay is the determinism gate: every scenario runs twice, on a
+// worker pool of 1 and of 4, and both renderings (text and CSV, covering
+// the full per-tick series) must be byte-identical. That checks replay
+// and pool-size independence at once. Assertion failures are not replay
+// failures — only a divergent report is.
 func cmdReplay(args []string) int {
 	specs, err := resolve(args)
 	if err != nil {
@@ -232,19 +234,20 @@ func cmdReplay(args []string) int {
 	}
 	diverged := 0
 	for _, spec := range specs {
-		render := func() (string, error) {
+		render := func(workers int) (string, error) {
+			spec.Workers = workers
 			rep, err := scenario.Run(spec, nil)
 			if err != nil {
 				return "", err
 			}
 			return rep.Render() + rep.RenderCSVRows(), nil
 		}
-		a, err := render()
+		a, err := render(1)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
 			return 1
 		}
-		b, err := render()
+		b, err := render(4)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
 			return 1
@@ -254,7 +257,7 @@ func cmdReplay(args []string) int {
 			continue
 		}
 		diverged++
-		fmt.Printf("replay DIFF  %s: two runs rendered %d vs %d bytes\n", spec.Name, len(a), len(b))
+		fmt.Printf("replay DIFF  %s: workers 1 and 4 rendered %d vs %d bytes\n", spec.Name, len(a), len(b))
 		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i] != b[i] {
 				fmt.Printf("  first divergence at byte %d\n", i)

@@ -42,9 +42,10 @@ func run(lead int) (float64, specexec.Stats) {
 			DetectLoops:        false,
 		},
 	})
-	sys.Server.SpawnConstruct(sc.BuildSized(252), world.BlockPos{X: 4, Y: 5, Z: 4})
-	sys.Server.Start()
+	shard := sys.Shards[0]
+	shard.Server.SpawnConstruct(sc.BuildSized(252), world.BlockPos{X: 4, Y: 5, Z: 4})
+	shard.Server.Start()
 	loop.RunUntil(2 * time.Minute)
-	sys.Server.Stop()
-	return sys.SpecExec.MedianEfficiency(), sys.SpecExec.Snapshot()
+	shard.Server.Stop()
+	return shard.SpecExec.MedianEfficiency(), shard.SpecExec.Snapshot()
 }

@@ -117,8 +117,7 @@ func TestLatestArtifact(t *testing.T) {
 // TestScanClusterModesAgree: the benchmark harness itself must uphold
 // the determinism contract it measures — incremental and full-rescan
 // clusters over the same layout replicate identically. (Also the race-
-// detector surface for the dirty-set bookkeeping under `make
-// clusterrace`.)
+// detector surface for the dirty-set bookkeeping under `make race`.)
 func TestScanClusterModesAgree(t *testing.T) {
 	run := func(full bool) (int, []cluster.GhostRecord) {
 		c := NewScanCluster(64, full)

@@ -243,6 +243,11 @@ func DecodeGhostDigest(prev []DigestEntry, data []byte) ([]DigestEntry, error) {
 	data = data[5:]
 	switch kind {
 	case digestKindFull:
+		// Every entry takes at least 22 bytes (name length, x, z, home),
+		// so a count the remaining bytes cannot hold is corrupt.
+		if n > len(data)/22 {
+			return nil, errors.New("ghost digest: truncated entry")
+		}
 		out := make([]DigestEntry, 0, n)
 		for i := 0; i < n; i++ {
 			if len(data) < 2 {

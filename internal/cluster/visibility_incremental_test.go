@@ -291,3 +291,21 @@ func TestDigestRateLimiterSkipsIdlePairs(t *testing.T) {
 		t.Fatalf("rate limiting opened %d visibility gap ticks", c.VisibilityGaps.Value())
 	}
 }
+
+// FuzzDecodeGhostDigest: a digest arrives from another shard, so any
+// input must decode or fail with an error, never panic or allocate from
+// an unchecked count.
+func FuzzDecodeGhostDigest(f *testing.F) {
+	valid, err := EncodeGhostDigest([]DigestEntry{{Name: "alice", X: 1.5, Z: -2, Home: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{0x02, 0x01, 0x00, 0x00, 0x20}) // full digest claiming 0x20000001 entries
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := DecodeGhostDigest(nil, data)
+		if err == nil && 22*len(entries) > len(data) {
+			t.Fatalf("%d entries decoded from %d bytes", len(entries), len(data))
+		}
+	})
+}

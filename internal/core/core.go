@@ -150,13 +150,11 @@ type Config struct {
 	// (0 → cluster.DefaultLogRetention, < 0 → unbounded).
 	LogRetention int
 
-	// Workers > 0 runs shard game loops on the virtual clock's
-	// lane-batched scheduler: same-timestamp ticks of distinct shards
-	// execute concurrently on a pool of Workers goroutines, with shared-
-	// substrate side effects deferred to the deterministic post-wave
-	// commit drain. Every pool size produces identical runs; 0 (the
-	// default) keeps the classic serial loop. Requires a *sim.Loop clock
-	// (ignored under the real-time clock).
+	// Workers sizes the virtual clock's lane pool: same-timestamp ticks
+	// of distinct shards execute concurrently on up to Workers
+	// goroutines, with shared-substrate side effects deferred to the
+	// deterministic post-wave commit drain. Every pool size produces
+	// identical runs (0 → 1). Ignored under the real-time clock.
 	Workers int
 
 	// PhaseLock re-aligns each shard's tick schedule to the global
@@ -191,20 +189,14 @@ type ShardComponents struct {
 // System is an assembled Servo (or baseline) instance: one shard by
 // default, N region shards behind a Cluster when Config.Shards > 1.
 type System struct {
-	// Server is shard 0's game loop — the only one in the unsharded
-	// case, which keeps every single-server caller working unchanged.
-	Server   *mve.Server
 	Platform *faas.Platform
 
 	// Cluster routes players across shards (nil unless Shards > 1).
 	Cluster *cluster.Cluster
 	// Shards lists every shard's components in shard order (always at
-	// least one entry; entry 0 mirrors the legacy top-level fields).
+	// least one entry; the unsharded server is Shards[0]).
 	Shards []*ShardComponents
 
-	// SpecExec is shard 0's speculative execution unit (nil unless
-	// ServerlessSC).
-	SpecExec *specexec.Manager
 	// SCFn and TGFn are the deployed functions (nil if unused), shared by
 	// every shard.
 	SCFn *faas.Function
@@ -216,15 +208,10 @@ type System struct {
 	// GenCache is the shared cross-shard generation dedup cache (nil
 	// unless sharded serverless terrain with dedup enabled).
 	GenCache *tgen.GenCache
-	// TGBackend is shard 0's serverless terrain backend (nil unless
-	// ServerlessTG).
-	TGBackend *tgen.Backend
 
-	// Remote is the shared object store; Cache and RStore are shard 0's
-	// storage stack (nil unless a store is configured).
+	// Remote is the shared object store (nil unless a store is
+	// configured).
 	Remote *blob.Store
-	Cache  *tcache.Cache
-	RStore *rstore.Store
 }
 
 // DefaultSCFnConfig returns the construct-simulation function
@@ -321,18 +308,15 @@ func New(clock sim.Clock, cfg Config) *System {
 	if topo == nil {
 		topo = world.BandTopology{BandChunks: cfg.BandChunks}
 	}
-	// Lane-parallel execution: each shard's game loop runs on its own
-	// lane of the virtual clock, so same-timestamp ticks of distinct
-	// shards execute concurrently while scans, the controller, and all
-	// substrate completions stay on the serial lane. Lane ids are
-	// 1-based (lane 0 is the serial lane); a recovered shard re-acquires
-	// its lane and continues the same RNG stream.
-	var laneLoop *sim.Loop
-	if cfg.Workers > 0 {
-		if lp, ok := clock.(*sim.Loop); ok {
-			lp.SetWorkers(cfg.Workers)
-			laneLoop = lp
-		}
+	// Each shard's game loop runs on its own lane of the virtual clock,
+	// so same-timestamp ticks of distinct shards execute concurrently
+	// while scans, the controller, and all substrate completions stay on
+	// the serial lane. Lane ids are 1-based (lane 0 is the serial lane);
+	// a recovered shard re-acquires its lane and continues the same RNG
+	// stream.
+	laneLoop, _ := clock.(*sim.Loop)
+	if laneLoop != nil {
+		laneLoop.SetWorkers(cfg.Workers)
 	}
 	// buildShard assembles shard i's components. Called once per shard at
 	// boot, and again by cluster.RecoverShard to build the replacement
@@ -365,12 +349,9 @@ func New(clock sim.Clock, cfg Config) *System {
 		// FaaS submissions from a shard lane go through the commit
 		// buffer: the shared platform (warm pools, RNG-drawn latencies)
 		// must see invocations in deterministic lane order, not wave
-		// completion order. On the serial path the wrapper is a direct
-		// call.
-		var invoke laneInvoker = sys.Platform
-		if laneLoop != nil && sys.Platform != nil {
-			invoke = &commitInvoker{clock: shardClock, platform: sys.Platform}
-		}
+		// completion order. Under the real-time clock the commit is a
+		// direct call.
+		invoke := &commitInvoker{clock: shardClock, platform: sys.Platform}
 		// One chunk freelist per shard, shared by the game loop (unload
 		// and superseded-apply recycling), the store decode path, and the
 		// terrain backend, so recycled chunks feed every decode.
@@ -454,21 +435,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		}
 		sys.Cluster = cluster.New(clock, clCfg, buildShard)
 	}
-	s0 := sys.Shards[0]
-	sys.Server = s0.Server
-	sys.SpecExec = s0.SpecExec
-	sys.TGBackend = s0.TGBackend
-	sys.Cache = s0.Cache
-	sys.RStore = s0.RStore
 	return sys
-}
-
-// laneInvoker is the FaaS submission surface shard components are built
-// against: *faas.Platform directly on the serial path, or commitInvoker
-// under lane-parallel execution. It satisfies both specexec.TickSource
-// and tgen.Invoker.
-type laneInvoker interface {
-	Invoke(name string, payload []byte, cb func(faas.Invocation))
 }
 
 // commitInvoker defers submissions to the lane's commit drain, so the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,12 +16,12 @@ import (
 func TestBaselineAssemblyHasNoServerlessParts(t *testing.T) {
 	loop := sim.NewLoop(1)
 	sys := New(loop, Config{Profile: mve.ProfileOpencraft, WorldType: "flat"})
-	if sys.Platform != nil || sys.SpecExec != nil || sys.TGBackend != nil {
+	if sys.Platform != nil || sys.Shards[0].SpecExec != nil || sys.Shards[0].TGBackend != nil {
 		t.Fatal("baseline assembly created serverless components")
 	}
-	sys.Server.Start()
+	sys.Shards[0].Server.Start()
 	loop.RunUntil(time.Second)
-	if sys.Server.TickDurations.Len() == 0 {
+	if sys.Shards[0].Server.TickDurations.Len() == 0 {
 		t.Fatal("baseline server did not tick")
 	}
 }
@@ -33,22 +34,22 @@ func TestFullServoAssembly(t *testing.T) {
 		ServerlessTG: true,
 		ServerlessRS: true,
 	})
-	if sys.Platform == nil || sys.SpecExec == nil || sys.TGBackend == nil ||
-		sys.Cache == nil || sys.RStore == nil || sys.Remote == nil {
+	if sys.Platform == nil || sys.Shards[0].SpecExec == nil || sys.Shards[0].TGBackend == nil ||
+		sys.Shards[0].Cache == nil || sys.Shards[0].RStore == nil || sys.Remote == nil {
 		t.Fatal("full Servo assembly is missing components")
 	}
 	if sys.SCFn == nil || sys.TGFn == nil {
 		t.Fatal("functions not deployed")
 	}
-	sys.Server.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: 2, Y: 5, Z: 2})
-	sys.Server.Connect("p", nil)
-	sys.Server.Start()
+	sys.Shards[0].Server.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: 2, Y: 5, Z: 2})
+	sys.Shards[0].Server.Connect("p", nil)
+	sys.Shards[0].Server.Start()
 	loop.RunUntil(30 * time.Second)
 	if sys.SCFn.Invocations.Count() == 0 {
 		t.Fatal("construct was never offloaded")
 	}
-	if sys.Server.TickDurations.Len() < 500 {
-		t.Fatalf("only %d ticks in 30s", sys.Server.TickDurations.Len())
+	if sys.Shards[0].Server.TickDurations.Len() < 500 {
+		t.Fatalf("only %d ticks in 30s", sys.Shards[0].Server.TickDurations.Len())
 	}
 }
 
@@ -64,16 +65,16 @@ func TestServoServerlessSCMatchesLocalSimulation(t *testing.T) {
 
 	c := sc.NewLampBank(4, 8)
 	anchor := world.BlockPos{X: 4, Y: 5, Z: 4}
-	idA := servo.Server.SpawnConstruct(c.Clone(), anchor)
-	idB := baseline.Server.SpawnConstruct(c.Clone(), anchor)
+	idA := servo.Shards[0].Server.SpawnConstruct(c.Clone(), anchor)
+	idB := baseline.Shards[0].Server.SpawnConstruct(c.Clone(), anchor)
 
-	servo.Server.Start()
-	baseline.Server.Start()
+	servo.Shards[0].Server.Start()
+	baseline.Shards[0].Server.Start()
 	for i := 0; i < 200; i++ {
 		loopA.RunUntil(loopA.Now() + 50*time.Millisecond)
 		loopB.RunUntil(loopB.Now() + 50*time.Millisecond)
-		a := servo.SpecExec.Construct(idA)
-		b := baseline.Server.SCs().(*mve.LocalSC).Construct(idB)
+		a := servo.Shards[0].SpecExec.Construct(idA)
+		b := baseline.Shards[0].Server.SCs().(*mve.LocalSC).Construct(idB)
 		if a.Steps() != b.Steps() && a.Hash() != b.Hash() {
 			// Steps can momentarily differ by scheduling boundary; states must match.
 			t.Fatalf("tick %d: Servo construct state diverged from baseline", i)
@@ -84,18 +85,18 @@ func TestServoServerlessSCMatchesLocalSimulation(t *testing.T) {
 func TestServerlessTGFillsViewWithoutLocalWorkers(t *testing.T) {
 	loop := sim.NewLoop(4)
 	sys := New(loop, Config{WorldType: "default", ServerlessTG: true})
-	p := sys.Server.Connect("p", nil)
-	sys.Server.Start()
+	p := sys.Shards[0].Server.Connect("p", nil)
+	sys.Shards[0].Server.Start()
 	loop.RunUntil(time.Second)
 	p.X = 500 // leave the preloaded spawn region
 	loop.RunUntil(2 * time.Minute)
-	if got := sys.Server.MinViewMargin(); got != sys.Server.Config().ViewDistance {
+	if got := sys.Shards[0].Server.MinViewMargin(); got != sys.Shards[0].Server.Config().ViewDistance {
 		t.Fatalf("view margin %d after 2 min of serverless generation", got)
 	}
 	if sys.TGFn.Invocations.Count() == 0 {
 		t.Fatal("no generation invocations")
 	}
-	if busy, queued := sys.TGBackend.Load(); busy != 0 || queued != 0 {
+	if busy, queued := sys.Shards[0].TGBackend.Load(); busy != 0 || queued != 0 {
 		t.Fatal("serverless backend must report no local load")
 	}
 }
@@ -107,13 +108,13 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 	sysA := New(loop, Config{WorldType: "default", Seed: 9, ServerlessRS: true})
 	// An explorer walks beyond the preloaded spawn region so fresh terrain
 	// goes through the demand-generation path and is persisted.
-	p := sysA.Server.Connect("p", nil)
-	sysA.Server.Start()
+	p := sysA.Shards[0].Server.Connect("p", nil)
+	sysA.Shards[0].Server.Start()
 	loop.RunUntil(time.Second)
 	p.X = 400 // teleport outside the preload; the scan demands new chunks
 	loop.RunUntil(90 * time.Second)
-	sysA.Server.Stop()
-	sysA.Cache.Flush()
+	sysA.Shards[0].Server.Stop()
+	sysA.Shards[0].Cache.Flush()
 	loop.RunUntil(loop.Now() + 10*time.Second)
 	if sysA.Remote.Len() == 0 {
 		t.Fatal("nothing persisted to remote storage")
@@ -121,7 +122,7 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 
 	// A chunk near the teleport target went through demand generation.
 	pos := world.ChunkPos{X: 25, Z: 0}
-	want := sysA.Server.World().Chunk(pos)
+	want := sysA.Shards[0].Server.World().Chunk(pos)
 	if want == nil {
 		t.Fatal("test chunk not loaded in source world")
 	}
@@ -184,15 +185,15 @@ func TestDefaultFnConfigsCalibrated(t *testing.T) {
 func TestSCAdapterModifyPath(t *testing.T) {
 	loop := sim.NewLoop(7)
 	sys := New(loop, Config{WorldType: "flat", ServerlessSC: true})
-	id := sys.Server.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: 2, Y: 5, Z: 2})
-	if !sys.Server.SCs().Modify(id, func(c *sc.Construct) {}) {
+	id := sys.Shards[0].Server.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: 2, Y: 5, Z: 2})
+	if !sys.Shards[0].Server.SCs().Modify(id, func(c *sc.Construct) {}) {
 		t.Fatal("Modify through the adapter failed")
 	}
-	if sys.Server.SCs().Modify(999, func(c *sc.Construct) {}) {
+	if sys.Shards[0].Server.SCs().Modify(999, func(c *sc.Construct) {}) {
 		t.Fatal("Modify of unknown id must fail")
 	}
-	sys.Server.SCs().Remove(id)
-	if sys.Server.SCs().Count() != 0 {
+	sys.Shards[0].Server.SCs().Remove(id)
+	if sys.Shards[0].Server.SCs().Count() != 0 {
 		t.Fatal("Remove through the adapter failed")
 	}
 }
@@ -216,9 +217,6 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 	}
 	if len(sys.Shards) != 4 || len(sys.Cluster.Shards()) != 4 {
 		t.Fatalf("shard count wrong: %d / %d", len(sys.Shards), len(sys.Cluster.Shards()))
-	}
-	if sys.Server != sys.Shards[0].Server {
-		t.Fatal("legacy Server field must alias shard 0")
 	}
 	seen := map[*mve.Server]bool{}
 	for i, sh := range sys.Shards {
@@ -260,6 +258,55 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 	if !sys.Remote.Exists("player/mover") {
 		t.Fatal("handoff did not persist the player record")
 	}
+}
+
+// TestShardedLogsMatchAtEveryPoolSize: a sharded system's handoff and
+// ghost records are the same whether the pool is left at its default
+// size or set to four workers, because every shard ticks on its own lane
+// of the virtual clock either way.
+func TestShardedLogsMatchAtEveryPoolSize(t *testing.T) {
+	run := func(workers int) (handoffs, ghosts string) {
+		loop := sim.NewLoop(21)
+		sys := New(loop, Config{
+			WorldType:    "flat",
+			ViewDistance: 32,
+			Shards:       2,
+			BandChunks:   4,
+			ServerlessRS: true,
+			Visibility:   true,
+			Workers:      workers,
+		})
+		for i := 0; i < 6; i++ {
+			sys.Cluster.ConnectAt(fmt.Sprintf("roamer%d", i), roamX(0, 128),
+				world.BlockPos{X: 10 + 20*i, Y: 0, Z: 8 + 4*i})
+		}
+		sys.Cluster.Start()
+		loop.RunUntil(90 * time.Second)
+		if sys.Cluster.Handoffs.Value() == 0 || sys.Cluster.GhostLog.Len() == 0 {
+			t.Fatalf("workers=%d: %d handoffs, %d ghost records; the seam was never crossed",
+				workers, sys.Cluster.Handoffs.Value(), sys.Cluster.GhostLog.Len())
+		}
+		return fmt.Sprint(sys.Cluster.Log.All()), fmt.Sprint(sys.Cluster.GhostLog.All())
+	}
+	h0, g0 := run(0)
+	h4, g4 := run(4)
+	if h0 != h4 {
+		t.Fatalf("handoff records differ:\nworkers=0: %s\nworkers=4: %s", h0, h4)
+	}
+	if g0 != g4 {
+		t.Fatalf("ghost records differ:\nworkers=0: %s\nworkers=4: %s", g0, g4)
+	}
+}
+
+// roamX walks to a random x in [lo, hi) at a random speed whenever the
+// player stands still, drawing from the shard's RNG.
+func roamX(lo, hi int) mve.Behavior {
+	return mve.BehaviorFunc(func(rng *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
+		if p.Moving() {
+			return nil
+		}
+		return []mve.Action{mve.MoveTo(float64(lo+rng.Intn(hi-lo)), p.Z, 4+4*rng.Float64())}
+	})
 }
 
 // TestGridShardedAssembly checks the grid-topology wiring: contiguous

@@ -49,15 +49,15 @@ func AblationLoop(opt Options) *AblationLoopReport {
 			SpecExec:     specexec.Config{TickLead: 20, StepsPerInvocation: 100, DetectLoops: detect},
 		})
 		for i := 0; i < 50; i++ {
-			sys.Server.SpawnConstruct(sc.NewClock(3, 1+i%3),
+			sys.Shards[0].Server.SpawnConstruct(sc.NewClock(3, 1+i%3),
 				world.BlockPos{X: (i%10)*20 - 100, Y: 5, Z: (i/10)*20 - 100})
 		}
-		sys.Server.Start()
+		sys.Shards[0].Server.Start()
 		loop.RunUntil(opt.window(10 * time.Minute))
-		sys.Server.Stop()
+		sys.Shards[0].Server.Stop()
 		r.Invocations[detect] = sys.SCFn.Invocations.Count()
 		r.Dollars[detect] = sys.SCFn.BilledDollars()
-		s := sys.SpecExec.Snapshot()
+		s := sys.Shards[0].SpecExec.Snapshot()
 		r.ServerWork[detect] = s.LocalSteps + s.RemoteSteps + s.ReplaySteps
 		opt.logf("ablation-loop: detect=%v invocations=%d $%.4f", detect,
 			r.Invocations[detect], r.Dollars[detect])

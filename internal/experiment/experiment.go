@@ -151,9 +151,9 @@ func measureTicks(loop *sim.Loop, s *mve.Server, warmup, window time.Duration) *
 func scRunTicks(g Game, scCount, players int, opt Options) *metrics.Sample {
 	loop := sim.NewLoop(opt.Seed)
 	sys := buildGame(loop, g, "flat", opt.Seed, false, false)
-	placeConstructGrid(sys.Server, scCount)
-	connectPlayers(sys.Server, players, "A")
-	return measureTicks(loop, sys.Server, 15*time.Second, opt.window(10*time.Minute))
+	placeConstructGrid(sys.Shards[0].Server, scCount)
+	connectPlayers(sys.Shards[0].Server, players, "A")
+	return measureTicks(loop, sys.Shards[0].Server, 15*time.Second, opt.window(10*time.Minute))
 }
 
 // playersSupported reports whether the configuration meets the QoS

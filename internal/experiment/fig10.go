@@ -61,7 +61,7 @@ func Fig10(opt Options) *Fig10Report {
 func fig10Run(g Game, window time.Duration, opt Options) *Fig10Series {
 	loop := sim.NewLoop(opt.Seed)
 	sys := buildGame(loop, g, "default", opt.Seed, g == Servo, false)
-	srv := sys.Server
+	srv := sys.Shards[0].Server
 	for i := 0; i < 5; i++ {
 		srv.Connect(fmt.Sprintf("sinc-%d", i), &workload.Star{Speed: 1, RampEvery: fig10Ramp(window)})
 	}

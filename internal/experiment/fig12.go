@@ -56,7 +56,7 @@ const joinInterval = 10 * time.Second
 func fig12aRun(g Game, wl string, opt Options) *Fig12aSeries {
 	loop := sim.NewLoop(opt.Seed)
 	sys := buildGame(loop, g, "default", opt.Seed, g == Servo, g == Servo)
-	srv := sys.Server
+	srv := sys.Shards[0].Server
 	speed := 3.0
 	if wl == "S8" {
 		speed = 8.0
@@ -132,8 +132,8 @@ func Fig12b(opt Options) *Fig12bReport {
 			for _, n := range fig12bPlayers {
 				loop := sim.NewLoop(seed)
 				sys := buildGame(loop, g, "default", seed, g == Servo, g == Servo)
-				connectPlayers(sys.Server, n, "R")
-				sample := measureTicks(loop, sys.Server, 10*time.Second, opt.window(3*time.Minute))
+				connectPlayers(sys.Shards[0].Server, n, "R")
+				sample := measureTicks(loop, sys.Shards[0].Server, 10*time.Second, opt.window(3*time.Minute))
 				if !playersSupported(sample) {
 					break
 				}

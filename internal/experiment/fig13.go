@@ -110,12 +110,12 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 
 	// Phase 1 (write): 8 star players explore, persisting terrain.
 	window := opt.window(10 * time.Minute)
-	connectPlayers(sys.Server, 8, "S3")
-	sys.Server.Start()
+	connectPlayers(sys.Shards[0].Server, 8, "S3")
+	sys.Shards[0].Server.Start()
 	loop.RunUntil(window)
-	sys.Server.Stop()
-	if sys.Cache != nil {
-		sys.Cache.Flush()
+	sys.Shards[0].Server.Stop()
+	if sys.Shards[0].Cache != nil {
+		sys.Shards[0].Cache.Flush()
 	}
 	loop.RunUntil(loop.Now() + time.Minute)
 
@@ -124,16 +124,16 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	// served from storage.
 	srvCfg2 := coreCfg
 	sys2 := rebuildOverSameStorage(loop, srvCfg2, sys)
-	connectPlayers(sys2.Server, 8, "S3")
-	sys2.Server.Start()
+	connectPlayers(sys2.Shards[0].Server, 8, "S3")
+	sys2.Shards[0].Server.Start()
 	loop.RunUntil(loop.Now() + window)
-	sys2.Server.Stop()
+	sys2.Shards[0].Server.Stop()
 
 	switch cfg {
 	case StorageServerlessCache:
-		return &sys2.Cache.RetrievalLatency
+		return &sys2.Shards[0].Cache.RetrievalLatency
 	default:
-		probe := sys2.Server.Config().Store.(*storeLatencyProbe)
+		probe := sys2.Shards[0].Server.Config().Store.(*storeLatencyProbe)
 		return probe.Latency
 	}
 }

@@ -48,22 +48,23 @@ func specRun(lead, steps int, opt Options) (*specexec.Manager, *core.System, tim
 		ServerlessSC: true,
 		SpecExec:     specexec.Config{TickLead: lead, StepsPerInvocation: steps, DetectLoops: false},
 	})
+	shard := sys.Shards[0]
 	for i := 0; i < fig89Constructs; i++ {
-		sys.Server.SpawnConstruct(sc.BuildSized(fig89ConstructBlocks),
+		shard.Server.SpawnConstruct(sc.BuildSized(fig89ConstructBlocks),
 			world.BlockPos{X: (i % 5) * 50, Y: 5, Z: (i / 5) * 50})
 	}
-	connectPlayers(sys.Server, 1, "A") // Table I: 1 player
+	connectPlayers(shard.Server, 1, "A") // Table I: 1 player
 	window := opt.window(5 * time.Minute)
-	sys.Server.Start()
+	shard.Server.Start()
 	// Warm up past the activation invocations (whose efficiency is
 	// dominated by the deliberate local-fallback period) and the first
 	// cold starts, then measure steady state.
 	loop.RunUntil(loop.Now() + 30*time.Second)
-	sys.SpecExec.Efficiency = nil
+	shard.SpecExec.Efficiency = nil
 	sys.SCFn.Latency = *metricsNewSample()
 	loop.RunUntil(loop.Now() + window)
-	sys.Server.Stop()
-	return sys.SpecExec, sys, window
+	shard.Server.Stop()
+	return shard.SpecExec, sys, window
 }
 
 func metricsNewSample() *metrics.Sample { return metrics.NewSample(4096) }

@@ -319,7 +319,9 @@ func DecodeLayout(buf []byte) (*Construct, error) {
 	}
 	w := int(binary.LittleEndian.Uint32(buf))
 	h := int(binary.LittleEndian.Uint32(buf[4:]))
-	if w <= 0 || h <= 0 || w*h > 1<<20 {
+	// Bound each side before multiplying: w*h of two unchecked 32-bit
+	// sides can overflow past the area guard.
+	if w <= 0 || h <= 0 || w > 1<<20 || h > 1<<20 || w*h > 1<<20 {
 		return nil, fmt.Errorf("sc: bad layout size %dx%d", w, h)
 	}
 	if len(buf) < 8+w*h*2 {

@@ -307,3 +307,16 @@ func TestNewPanicsOnInvalidSize(t *testing.T) {
 	}()
 	New(0, 5)
 }
+
+// FuzzDecodeLayout: a layout is a FaaS payload, so any input must decode
+// or fail with an error, never panic.
+func FuzzDecodeLayout(f *testing.F) {
+	f.Add(NewClock(3, 1).EncodeLayout())
+	f.Add([]byte("000\xff000\xfa")) // w*h overflows past the area guard
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeLayout(data)
+		if err == nil && 2*len(c.cells) > len(data) {
+			t.Fatalf("%d cells decoded from %d bytes", len(c.cells), len(data))
+		}
+	})
+}

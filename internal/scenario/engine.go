@@ -74,9 +74,9 @@ func (f front) connect(name string, b mve.Behavior, pl placement) ref {
 		return ref{cp: cl.Connect(name, b)}
 	}
 	if pl.pos != nil {
-		return ref{p: f.sys.Server.ConnectAt(name, b, float64(pl.pos.X), float64(pl.pos.Z))}
+		return ref{p: f.sys.Shards[0].Server.ConnectAt(name, b, float64(pl.pos.X), float64(pl.pos.Z))}
 	}
-	return ref{p: f.sys.Server.Connect(name, b)}
+	return ref{p: f.sys.Shards[0].Server.Connect(name, b)}
 }
 
 // disconnect ends a session, reporting whether it was still live (a
@@ -86,14 +86,14 @@ func (f front) disconnect(r ref) bool {
 	if r.cp != nil {
 		return f.sys.Cluster.Disconnect(r.cp.ID)
 	}
-	return f.sys.Server.Disconnect(r.p.ID)
+	return f.sys.Shards[0].Server.Disconnect(r.p.ID)
 }
 
 func (f front) count() int {
 	if cl := f.sys.Cluster; cl != nil {
 		return cl.PlayerCount()
 	}
-	return f.sys.Server.PlayerCount()
+	return f.sys.Shards[0].Server.PlayerCount()
 }
 
 // newest returns the n most recently joined sessions.
@@ -104,7 +104,7 @@ func (f front) newest(n int) []ref {
 			all = append(all, ref{cp: p})
 		}
 	} else {
-		for _, p := range f.sys.Server.Players() {
+		for _, p := range f.sys.Shards[0].Server.Players() {
 			all = append(all, ref{p: p})
 		}
 	}
@@ -119,7 +119,7 @@ func (f front) start() {
 		cl.Start()
 		return
 	}
-	f.sys.Server.Start()
+	f.sys.Shards[0].Server.Start()
 }
 
 func (f front) stop() {
@@ -127,7 +127,7 @@ func (f front) stop() {
 		cl.Stop()
 		return
 	}
-	f.sys.Server.Stop()
+	f.sys.Shards[0].Server.Stop()
 }
 
 // spawnConstruct activates a construct, routed by anchor region when
@@ -137,7 +137,7 @@ func (f front) spawnConstruct(c *sc.Construct, anchor world.BlockPos) {
 		cl.SpawnConstruct(c, anchor)
 		return
 	}
-	f.sys.Server.SpawnConstruct(c, anchor)
+	f.sys.Shards[0].Server.SpawnConstruct(c, anchor)
 }
 
 // Runner executes one scenario on a fresh virtual-clock system.
@@ -442,17 +442,13 @@ func (r *Runner) runPrewrite(cfg core.Config) core.Config {
 	return cfg
 }
 
-// fleetPlacement returns a fleet group's join placement. A legacy band
-// reference b is the band-topology tile [b, 0] (the z=0 row).
+// fleetPlacement returns a fleet group's join placement.
 func fleetPlacement(g FleetGroup) placement {
 	if g.Pos != nil {
 		return placement{shard: -1, pos: &world.BlockPos{X: g.Pos[0], Z: g.Pos[1]}}
 	}
 	if g.Tile != nil {
 		return placement{shard: -1, tile: &world.TileID{X: g.Tile[0], Z: g.Tile[1]}}
-	}
-	if g.Band != nil {
-		return placement{shard: -1, tile: &world.TileID{X: *g.Band}}
 	}
 	if g.Shard == nil {
 		return atSpawn
@@ -596,8 +592,6 @@ func (r *Runner) fire(e Event) {
 		var tile *world.TileID
 		if e.Tile != nil {
 			tile = &world.TileID{X: e.Tile[0], Z: e.Tile[1]}
-		} else if e.Band != nil {
-			tile = &world.TileID{X: *e.Band}
 		}
 		for i := 0; i < e.Count; i++ {
 			r.connect(fmt.Sprintf("crowd%d-%d", seq, i), e.Behavior, placement{shard: -1, tile: tile})
@@ -787,7 +781,7 @@ func (r *Runner) run() *Report {
 	spec := r.spec
 	r.loop.RunUntil(r.t0 + spec.Warmup.D())
 	r.snapshotBaseline()
-	measured := int((spec.Duration - spec.Warmup).D() / r.sys.Server.Config().TickInterval)
+	measured := int((spec.Duration - spec.Warmup).D() / r.sys.Shards[0].Server.Config().TickInterval)
 	for _, sh := range r.sys.Shards {
 		sh.Server.TickDurations = metrics.NewSample(measured)
 		if m := sh.SpecExec; m != nil {
@@ -974,7 +968,7 @@ func (r *Runner) collect() *Report {
 		vals["cold_starts"] = float64(coldStarts)
 		vals["faas_faults"] = float64(faults)
 	}
-	if r.sys.Cache != nil {
+	if r.sys.Shards[0].Cache != nil {
 		hits := cacheHits - b.cacheHits
 		misses := cacheMisses - b.cacheMisses
 		vals["cache_hits"] = float64(hits)

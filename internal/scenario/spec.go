@@ -167,13 +167,9 @@ type FleetGroup struct {
 	// specific tile of a shard's territory (requires a sharded scenario;
 	// mutually exclusive with Shard).
 	Tile *[2]int `json:"tile,omitempty"`
-	// Band is the legacy 1-D spelling of Tile: band b is tile [b, 0]
-	// under the band topology (band kind only; mutually exclusive with
-	// Shard and Tile).
-	Band *int `json:"band,omitempty"`
 	// Pos, if set, places the group at that exact block position [x, z]
 	// — e.g. directly on a tile seam, where tile centers cannot reach.
-	// Mutually exclusive with Shard, Tile, and Band.
+	// Mutually exclusive with Shard and Tile.
 	Pos *[2]int `json:"pos,omitempty"`
 }
 
@@ -305,9 +301,6 @@ type Event struct {
 	// of at world spawn, building a hotspot inside one shard's territory
 	// (requires a sharded scenario).
 	Tile *[2]int `json:"tile,omitempty"`
-	// flash_crowd: the legacy 1-D spelling of Tile — band b is tile
-	// [b, 0] under the band topology (band kind only).
-	Band *int `json:"band,omitempty"`
 
 	// shard_fail: which shard's loop to kill.
 	Shard *int `json:"shard,omitempty"`
@@ -396,10 +389,9 @@ type Spec struct {
 	// ghost events) at the most recent N records (0 → the cluster
 	// default, -1 → unbounded).
 	LogRetention int `json:"log_retention,omitempty"`
-	// Workers > 0 runs shard game loops on the virtual clock's
-	// lane-batched parallel scheduler (a pool of Workers goroutines).
-	// The report is byte-identical for every Workers >= 1; 0 keeps the
-	// classic serial loop.
+	// Workers sizes the virtual clock's lane pool: up to Workers shard
+	// ticks sharing a timestamp run concurrently (0 → 1). The report is
+	// byte-identical for every pool size.
 	Workers int `json:"workers,omitempty"`
 	// PhaseLock re-aligns a shard's tick schedule to the global tick
 	// grid after an overlong tick, so saturated shards keep ticking at
@@ -664,18 +656,6 @@ func (s *Spec) validateTileRef(ctx string, tile [2]int) error {
 	return nil
 }
 
-// validateBandRef checks one legacy band placement: band b is tile
-// [b, 0], a band-topology concept.
-func (s *Spec) validateBandRef(ctx string) error {
-	if s.Shards <= 1 {
-		return s.errf("%s: band placement requires shards > 1", ctx)
-	}
-	if s.Topology.Grid() {
-		return s.errf("%s: band placement is a band-topology concept; use tile with a grid topology", ctx)
-	}
-	return nil
-}
-
 func (s *Spec) validateWorld() error {
 	switch s.World.Type {
 	case "":
@@ -769,13 +749,13 @@ func (s *Spec) validateFleet(section string, fleet []FleetGroup, horizonName str
 			}
 		}
 		placements := 0
-		for _, set := range []bool{g.Shard != nil, g.Tile != nil, g.Band != nil, g.Pos != nil} {
+		for _, set := range []bool{g.Shard != nil, g.Tile != nil, g.Pos != nil} {
 			if set {
 				placements++
 			}
 		}
 		if placements > 1 {
-			return s.errf("%s[%d]: shard, tile, band, and pos placement are mutually exclusive", section, i)
+			return s.errf("%s[%d]: shard, tile, and pos placement are mutually exclusive", section, i)
 		}
 		if g.Pos != nil {
 			for _, v := range *g.Pos {
@@ -786,11 +766,6 @@ func (s *Spec) validateFleet(section string, fleet []FleetGroup, horizonName str
 		}
 		if g.Tile != nil {
 			if err := s.validateTileRef(fmt.Sprintf("%s[%d]", section, i), *g.Tile); err != nil {
-				return err
-			}
-		}
-		if g.Band != nil {
-			if err := s.validateBandRef(fmt.Sprintf("%s[%d]", section, i)); err != nil {
 				return err
 			}
 		}
@@ -919,16 +894,8 @@ func (s *Spec) validateEvent(i int, e *Event) error {
 		if !workload.Known(e.Behavior) {
 			return s.errf("events[%d] %s: unknown behavior %q", i, e.Kind, e.Behavior)
 		}
-		if e.Tile != nil && e.Band != nil {
-			return s.errf("events[%d] %s: tile and band placement are mutually exclusive", i, e.Kind)
-		}
 		if e.Tile != nil {
 			if err := s.validateTileRef(fmt.Sprintf("events[%d] %s", i, e.Kind), *e.Tile); err != nil {
-				return err
-			}
-		}
-		if e.Band != nil {
-			if err := s.validateBandRef(fmt.Sprintf("events[%d] %s", i, e.Kind)); err != nil {
 				return err
 			}
 		}
@@ -1043,7 +1010,7 @@ func (s *Spec) checkStrayEventFields(i int, e *Event) error {
 	c.At, c.Kind = 0, ""
 	switch e.Kind {
 	case EvFlashCrowd:
-		c.Count, c.Behavior, c.Tile, c.Band = 0, "", nil, nil
+		c.Count, c.Behavior, c.Tile = 0, "", nil
 	case EvDisconnect:
 		c.Count = 0
 	case EvSpawnSCs:
@@ -1070,8 +1037,6 @@ func (s *Spec) checkStrayEventFields(i int, e *Event) error {
 		stray = "blocks"
 	case c.Tile != nil:
 		stray = "tile"
-	case c.Band != nil:
-		stray = "band"
 	case c.Shard != nil:
 		stray = "shard"
 	case c.RecoverAt != 0:

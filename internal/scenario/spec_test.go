@@ -88,9 +88,11 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"window without to", minimal(`"assertions": [{"metric": "tick_p99_ms", "op": "<", "value": 50, "from": "10s"}]`), "window has from but no to"},
 		{"rebalance without shards", minimal(`"rebalance": {}`), "rebalance requires shards > 1"},
 		{"rebalance bad threshold", minimal(`"shards": 2, "rebalance": {"threshold": 0.5}`), "rebalance.threshold must be >= 1"},
-		{"fleet band without shards", minimal(`"fleet": [{"count": 1, "band": 2}]`), "band placement requires shards > 1"},
-		{"fleet band and shard", minimal(`"shards": 2, "fleet": [{"count": 1, "shard": 0, "band": 2}]`), "mutually exclusive"},
-		{"crowd band without shards", minimal(`"events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "band": 0}]`), "band placement requires shards > 1"},
+		// The band placement key is gone from fleet groups and
+		// flash_crowd events alike; tile: [b, 0] is its only spelling.
+		{"fleet band without shards", minimal(`"fleet": [{"count": 1, "band": 2}]`), `unknown field "band"`},
+		{"crowd band without shards", minimal(`"events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "band": 0}]`), `unknown field "band"`},
+		{"crowd tile without shards", minimal(`"events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "tile": [0, 0]}]`), "tile placement requires shards > 1"},
 		{"shard fail without shards", minimal(`"events": [{"at": "1s", "kind": "shard_fail", "shard": 0}]`), "requires shards > 1"},
 		{"shard fail without shard", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "shard_fail"}]`), "shard is required"},
 		{"shard fail out of range", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "shard_fail", "shard": 5}]`), "shard 5 out of range"},
@@ -110,12 +112,9 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"more shards than tiles", minimal(`"shards": 8, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}`), "more shards than tiles"},
 		{"fleet tile without shards", minimal(`"fleet": [{"count": 1, "tile": [0, 0]}]`), "tile placement requires shards > 1"},
 		{"fleet tile and shard", minimal(`"shards": 2, "fleet": [{"count": 1, "shard": 0, "tile": [0, 0]}]`), "mutually exclusive"},
-		{"fleet tile and band", minimal(`"shards": 2, "fleet": [{"count": 1, "band": 1, "tile": [0, 0]}]`), "mutually exclusive"},
 		{"fleet tile off grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "fleet": [{"count": 1, "tile": [2, 0]}]`), "outside the 2x2 grid"},
 		{"fleet band tile off axis", minimal(`"shards": 2, "fleet": [{"count": 1, "tile": [0, 3]}]`), "band-topology tiles lie on z=0"},
-		{"fleet band on grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "fleet": [{"count": 1, "band": 0}]`), "band placement is a band-topology concept"},
 		{"crowd tile off grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "tile": [0, 5]}]`), "outside the 2x2 grid"},
-		{"crowd tile and band", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "tile": [0, 0], "band": 1}]`), "mutually exclusive"},
 		{"tile on wrong kind", minimal(`"events": [{"at": "1s", "kind": "disconnect", "count": 1, "tile": [0, 0]}]`), `field "tile" does not apply`},
 		{"windowed view_margin bad window", minimal(`"assertions": [{"metric": "view_margin", "op": ">", "value": 0, "from": "10s", "to": "5s"}]`), "from 10s must be before to 5s"},
 		{"visibility without shards", minimal(`"visibility": {}`), "visibility requires shards > 1"},

@@ -1,9 +1,9 @@
 // The parallel-execution determinism gate: the lane-batched scheduler's
 // contract is that the observable event stream — and therefore every
-// rendered report byte — is identical for every worker-pool size >= 1.
-// This test is the `make workersgate` CI step: it runs the bundled
-// sharded scenarios at Workers 1 and Workers 4 and fails on any report
-// byte diff (text and CSV renderings both).
+// rendered report byte — is identical for every worker-pool size. This
+// test runs the bundled sharded scenarios at Workers 1 and Workers 4 and
+// fails on any report byte diff (text and CSV renderings both); `make
+// replaygate` extends the same check to every bundled scenario.
 
 package scenario
 

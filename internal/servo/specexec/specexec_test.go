@@ -329,3 +329,19 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 		t.Fatal("Handler must fail cleanly on a corrupt layout")
 	}
 }
+
+// FuzzDecodeReply: a reply is a FaaS payload, so any input must decode
+// or fail with an error, never panic or allocate from an unchecked count.
+func FuzzDecodeReply(f *testing.F) {
+	f.Add(EncodeReply(Reply{ConstructID: 7, Version: 2, BaseTick: 40,
+		States: []sc.StateVector{{1, 0, 1}, {0, 1, 1}}, Loop: &sc.LoopInfo{EntryIndex: 0, Period: 2}}))
+	crasher := make([]byte, 33, 37)
+	crasher = append(crasher, 0xff, 0xff, 0xff, 0xff) // 2^32-1 states, none behind the count
+	f.Add(crasher)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReply(data)
+		if err == nil && 4*len(r.States) > len(data) {
+			t.Fatalf("%d states decoded from %d bytes", len(r.States), len(data))
+		}
+	})
+}

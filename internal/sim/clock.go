@@ -15,6 +15,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -64,10 +65,11 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// Loop is a virtual-time event loop. By default it is single-threaded
-// and drains events one at a time; SetWorkers(n >= 1) switches it to
-// lane-batched execution where same-timestamp events on distinct lanes
-// run concurrently (see lane.go).
+// Loop is a virtual-time event loop. It drains events in timestamp
+// batches: lane-less events run one at a time on the calling goroutine,
+// and same-timestamp events on distinct lanes run concurrently on a
+// worker pool (see lane.go) whose size, set by SetWorkers, changes only
+// wall time.
 // The zero value is not usable; construct with NewLoop.
 type Loop struct {
 	now   Time
@@ -77,12 +79,12 @@ type Loop struct {
 	seed  int64
 
 	// Lane-batched execution state (see lane.go).
-	workers int
-	lanes   map[int]*laneState
-	sem     chan struct{}
-	batch   []*event
-	groups  []*laneState
-	stats   BatchStats
+	lanes  map[int]*laneState
+	sem    chan struct{}
+	wg     sync.WaitGroup
+	batch  []*event
+	groups []*laneState
+	stats  BatchStats
 
 	// free recycles executed events back into push, so a steady-state
 	// schedule (e.g. a game loop rescheduling itself every tick) runs
@@ -94,7 +96,7 @@ var _ Clock = (*Loop)(nil)
 
 // NewLoop returns a Loop at time 0 whose random source is seeded with seed.
 func NewLoop(seed int64) *Loop {
-	return &Loop{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Loop{rng: rand.New(rand.NewSource(seed)), seed: seed, sem: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -140,20 +142,6 @@ func (l *Loop) After(d time.Duration, fn func()) {
 	l.At(l.now+d, fn)
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (l *Loop) Step() bool {
-	if len(l.queue) == 0 {
-		return false
-	}
-	e := popEvent(&l.queue)
-	l.now = e.at
-	fn := e.fn
-	l.recycle(e)
-	fn()
-	return true
-}
-
 // popEvent pops the earliest (at, seq) event.
 func popEvent(q *eventQueue) *event { return heap.Pop(q).(*event) }
 
@@ -161,14 +149,8 @@ func popEvent(q *eventQueue) *event { return heap.Pop(q).(*event) }
 // strictly after deadline. The clock is left at the time of the last
 // executed event (or at deadline if it advanced past all events).
 func (l *Loop) RunUntil(deadline Time) {
-	if l.workers > 0 {
-		for len(l.queue) > 0 && l.queue[0].at <= deadline {
-			l.StepBatch()
-		}
-	} else {
-		for len(l.queue) > 0 && l.queue[0].at <= deadline {
-			l.Step()
-		}
+	for len(l.queue) > 0 && l.queue[0].at <= deadline {
+		l.StepBatch()
 	}
 	if l.now < deadline {
 		l.now = deadline
@@ -177,12 +159,7 @@ func (l *Loop) RunUntil(deadline Time) {
 
 // Run executes events until the queue is empty.
 func (l *Loop) Run() {
-	if l.workers > 0 {
-		for l.StepBatch() {
-		}
-		return
-	}
-	for l.Step() {
+	for l.StepBatch() {
 	}
 }
 

@@ -1,16 +1,16 @@
 // Lane-keyed parallel scheduling for the virtual-time Loop.
 //
-// A lane is an independent execution track (one per cluster shard): all
-// events sharing a timestamp but carrying distinct lanes may execute
+// A lane is an independent execution track (one per shard): all events
+// sharing a timestamp but carrying distinct lanes may execute
 // concurrently on a bounded worker pool, while lane-less events (lane 0,
-// everything scheduled through the plain Clock surface) keep the strict
-// serial order of the classic Loop and act as barriers between waves.
+// everything scheduled through the plain Clock surface) run one at a
+// time in (timestamp, seq) order and act as barriers between waves.
 //
 // Determinism contract: the observable event stream — execution order of
 // callbacks within a lane, RNG draw sequences, and the order in which
 // deferred side effects reach shared state — is a pure function of the
-// seed and the schedule, independent of the worker-pool size. `-workers 1`
-// and `-workers N` produce byte-identical runs because:
+// seed and the schedule, independent of the worker-pool size. A pool of 1
+// and a pool of N produce byte-identical runs because:
 //
 //   - events within one lane always run serially, in (timestamp, seq)
 //     order, on a single goroutine per wave;
@@ -23,15 +23,11 @@
 //   - events scheduled from inside a wave are buffered per lane and
 //     pushed onto the heap in the same ascending lane order, so sequence
 //     numbers (the FIFO tie-breaker) are assigned deterministically.
-//
-// Workers(0) — the default everywhere — bypasses all of this and runs the
-// exact legacy serial path.
 package sim
 
 import (
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 )
 
@@ -91,8 +87,8 @@ type Committer interface {
 // Commit runs fn through clock's commit buffer when the clock has one,
 // and immediately otherwise. Lane code must route every side effect that
 // touches state shared across lanes (blob store, FaaS platform, cluster
-// counters and logs) through Commit; on the legacy serial path this
-// compiles down to a direct call.
+// counters and logs) through Commit; on a clock without lanes (a plain
+// Loop or a RealClock) it is a direct call.
 func Commit(clock Clock, fn func()) {
 	if c, ok := clock.(Committer); ok {
 		c.Commit(fn)
@@ -181,22 +177,18 @@ func (c *LaneClock) Commit(fn func()) {
 	fn()
 }
 
-// SetWorkers selects the execution mode: 0 (the default) is the exact
-// legacy serial path; n >= 1 enables lane-batched execution on a pool of
-// n goroutines. Any n >= 1 produces identical runs — the pool size only
-// changes wall time.
+// SetWorkers sizes the pool that runs a wave's lanes: at most n lanes
+// execute at once, counting the loop goroutine's own (n < 1 means 1, the
+// default). Every pool size produces identical runs; it changes only wall
+// time.
 func (l *Loop) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
+	if n < 1 {
+		n = 1
 	}
-	l.workers = n
-	if n > 0 && cap(l.sem) != n {
+	if cap(l.sem) != n {
 		l.sem = make(chan struct{}, n)
 	}
 }
-
-// Workers returns the configured pool size (0 = serial mode).
-func (l *Loop) Workers() int { return l.workers }
 
 // AtLane schedules fn at absolute time t on the given lane (0 = serial).
 func (l *Loop) AtLane(lane int, t Time, fn func()) {
@@ -261,9 +253,12 @@ func (l *Loop) StepBatch() bool {
 }
 
 // runWave executes one maximal run of lane-tagged events: per-lane groups
-// run serially on their own goroutine, lanes run concurrently bounded by
-// the pool, and after the barrier each lane's buffered schedule requests
-// and commits drain on the loop thread in ascending lane order.
+// run serially, lanes run concurrently bounded by the pool, and after the
+// barrier each lane's buffered schedule requests and commits drain on the
+// loop thread in ascending lane order. The loop goroutine runs the first
+// group itself, holding a pool slot, so a single-lane wave starts no
+// goroutine; with a pool of one it runs every group in turn, as the pool
+// would.
 func (l *Loop) runWave(run []*event) {
 	groups := l.groups[:0]
 	for _, e := range run {
@@ -275,27 +270,24 @@ func (l *Loop) runWave(run []*event) {
 		}
 		ls.wave = append(ls.wave, e.fn)
 	}
-	if l.sem == nil {
-		l.sem = make(chan struct{}, 1)
+	inline := groups[:1]
+	if cap(l.sem) == 1 {
+		inline = groups
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(groups))
-	for _, g := range groups {
-		g := g
+	spawned := groups[len(inline):]
+	l.wg.Add(len(spawned))
+	for _, g := range spawned {
 		go func() {
-			l.sem <- struct{}{}
-			start := time.Now()
-			for _, fn := range g.wave {
-				fn()
-			}
-			g.busy = time.Since(start).Nanoseconds()
-			<-l.sem
-			wg.Done()
+			l.runGroup(g)
+			l.wg.Done()
 		}()
 	}
-	wg.Wait()
+	for _, g := range inline {
+		l.runGroup(g)
+	}
+	l.wg.Wait()
 
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
+	slices.SortFunc(groups, func(a, b *laneState) int { return a.id - b.id })
 	var span int64
 	for _, g := range groups {
 		// Flip before draining: pendings and commits issued from the
@@ -319,4 +311,16 @@ func (l *Loop) runWave(run []*event) {
 		g.commits = g.commits[:0]
 	}
 	l.groups = groups[:0]
+}
+
+// runGroup executes one lane's wave callbacks in order while holding a
+// pool slot, recording the lane's busy time.
+func (l *Loop) runGroup(g *laneState) {
+	l.sem <- struct{}{}
+	start := time.Now()
+	for _, fn := range g.wave {
+		fn()
+	}
+	g.busy = time.Since(start).Nanoseconds()
+	<-l.sem
 }

@@ -45,7 +45,7 @@ func TestLaneRunsAreIdenticalAcrossPoolSizes(t *testing.T) {
 	if len(base) == 0 {
 		t.Fatal("trace is empty")
 	}
-	for _, workers := range []int{2, 4, 16} {
+	for _, workers := range []int{0, 2, 4, 16} {
 		got := laneTrace(workers)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d produced %d entries, workers=1 produced %d", workers, len(got), len(base))
@@ -167,11 +167,20 @@ func TestLanePendingEventsKeepFIFOWithinLane(t *testing.T) {
 }
 
 func TestLaneModeMatchesSerialSemanticsForPlainEvents(t *testing.T) {
-	// A workload that never touches lanes must behave identically in
-	// batch mode: same order, same clock, same RNG stream.
-	run := func(workers int) (out []string, now Time) {
+	// A workload that never touches lanes must run in exactly the order,
+	// at exactly the clock readings and with exactly the RNG draws of a
+	// one-event-at-a-time loop. The expectation is that loop's trace.
+	want := []string{
+		"1@0s draw60", "2@1ms draw51", "3@3ms draw13", "4@6ms draw36",
+		"5@10ms draw34", "6@15ms draw5", "7@21ms draw29", "8@28ms draw59",
+		"9@36ms draw84", "10@45ms draw18", "11@55ms draw69", "12@66ms draw29",
+		"13@78ms draw15", "14@91ms draw73", "15@105ms draw66", "16@120ms draw9",
+		"17@136ms draw10", "18@153ms draw96", "19@171ms draw13", "20@190ms draw25",
+	}
+	for _, workers := range []int{1, 4} {
 		l := NewLoop(11)
 		l.SetWorkers(workers)
+		var out []string
 		var step func()
 		n := 0
 		step = func() {
@@ -183,16 +192,11 @@ func TestLaneModeMatchesSerialSemanticsForPlainEvents(t *testing.T) {
 		}
 		l.After(0, step)
 		l.Run()
-		return out, l.Now()
-	}
-	a, an := run(0)
-	b, bn := run(4)
-	if an != bn {
-		t.Fatalf("final clock differs: %v vs %v", an, bn)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("serial workload diverged in batch mode at %d: %q vs %q", i, a[i], b[i])
+		if l.Now() != 190*time.Millisecond {
+			t.Fatalf("workers=%d: final clock %v, want 190ms", workers, l.Now())
+		}
+		if fmt.Sprint(out) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: plain-event trace diverged:\n got %q\nwant %q", workers, out, want)
 		}
 	}
 }

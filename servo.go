@@ -153,11 +153,10 @@ type Config struct {
 	// RealTime runs the instance on the wall clock instead of virtual
 	// time. Run then blocks for real durations.
 	RealTime bool
-	// Workers > 0 runs shard ticks through the virtual clock's
-	// lane-batched scheduler: same-timestamp events from distinct shards
-	// execute on a worker pool of this size, with side effects ordered so
-	// the observable event stream is byte-identical for every pool size.
-	// Zero keeps the classic serial loop. Ignored under RealTime.
+	// Workers sizes the virtual clock's lane pool: same-timestamp events
+	// from distinct shards execute on up to Workers goroutines, with side
+	// effects ordered so the observable event stream is byte-identical
+	// for every pool size (0 → 1). Ignored under RealTime.
 	Workers int
 	// PhaseLock snaps a shard's next tick to the global TickInterval
 	// grid after an overlong tick, so saturated shards re-align and keep
@@ -295,7 +294,7 @@ func NewInstance(cfg Config) *Instance {
 	if cl := inst.sys.Cluster; cl != nil {
 		cl.Start()
 	} else {
-		inst.sys.Server.Start()
+		inst.sys.Shards[0].Server.Start()
 	}
 	return inst
 }
@@ -350,7 +349,7 @@ func (i *Instance) clusterHandle(p *Player) *cluster.Player {
 }
 
 // Server exposes the underlying game server for advanced use.
-func (i *Instance) Server() *mve.Server { return i.sys.Server }
+func (i *Instance) Server() *mve.Server { return i.sys.Shards[0].Server }
 
 // System exposes the assembled backend (FaaS platform, functions, storage
 // stack) for metrics inspection.
@@ -375,7 +374,7 @@ func (i *Instance) connectBehavior(name string, b mve.Behavior) *Player {
 	if cl := i.sys.Cluster; cl != nil {
 		return cl.Session(cl.Connect(name, b))
 	}
-	return i.sys.Server.Connect(name, b)
+	return i.sys.Shards[0].Server.Connect(name, b)
 }
 
 // ConnectBehavior joins a player driven by a custom mve.Behavior
@@ -417,7 +416,7 @@ func (i *Instance) Disconnect(p *Player) bool {
 		}
 		return cl.Disconnect(h.ID)
 	}
-	return i.sys.Server.Disconnect(p.ID)
+	return i.sys.Shards[0].Server.Disconnect(p.ID)
 }
 
 // SpawnConstruct activates a construct anchored at pos and returns its id.
@@ -432,7 +431,7 @@ func (i *Instance) SpawnConstruct(c *Construct, pos Pos) uint64 {
 		_, id := cl.SpawnConstruct(c, pos)
 		return id
 	}
-	return i.sys.Server.SpawnConstruct(c, pos)
+	return i.sys.Shards[0].Server.SpawnConstruct(c, pos)
 }
 
 // Run advances the instance by d: instantaneous in virtual time, blocking
@@ -451,17 +450,16 @@ func (i *Instance) Run(d time.Duration) {
 // shorten (serial segments plus each wave's longest lane). It is the
 // parallelism the schedule exposes — the wall speedup an adequately
 // provisioned worker pool realises — independent of how many cores this
-// machine actually has. 1 when the instance runs serially (Workers 0 or
-// real time).
+// machine actually has. 1 in real time.
 func (i *Instance) ParallelSpeedup() float64 {
-	if i.loop == nil || i.loop.Workers() == 0 {
+	if i.loop == nil {
 		return 1
 	}
 	return i.loop.BatchStats().Speedup()
 }
 
 // ResetParallelStats zeroes the lane scheduler's accumulated work/span
-// statistics (no-op outside lane mode).
+// statistics (no-op in real time).
 func (i *Instance) ResetParallelStats() {
 	if i.loop != nil {
 		i.loop.ResetBatchStats()
@@ -483,7 +481,7 @@ func (i *Instance) Stop() {
 			cl.Stop()
 			return
 		}
-		i.sys.Server.Stop()
+		i.sys.Shards[0].Server.Stop()
 	}
 	if i.rtc != nil {
 		i.rtc.Lock()
