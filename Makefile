@@ -65,17 +65,20 @@ sim:
 bench:
 	$(GO) run ./cmd/servo-bench -exp all
 
-# benchsmoke runs every benchmark exactly once in short mode: a fast
-# compile-and-execute gate over the figure pipelines, not a measurement.
+# benchsmoke runs every benchmark in the module exactly once in short
+# mode: a fast compile-and-execute gate over the figure pipelines and the
+# per-package layer benchmarks, not a measurement.
 benchsmoke:
-	$(GO) test -short -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
 # benchjson records the performance trajectory: the headline benchmark
 # suite (tick latency, handoff p99, digest encode, visibility scan,
 # scenario throughput) written as a schema'd BENCH_$(PR).json artifact,
-# checked in with the PR that changed the numbers.
-PR ?= 10
+# checked in with the PR that changed the numbers. PR must be given
+# (`make benchjson PR=<n>`): a default would silently overwrite an
+# existing artifact.
 benchjson:
+	@if [ -z "$(PR)" ]; then echo "benchjson: set PR, e.g. make benchjson PR=<n>"; exit 1; fi
 	$(GO) run ./cmd/servo-bench -format json -pr $(PR) -out BENCH_$(PR).json
 
 # benchdiff is the regression gate: re-run the suite and fail when any

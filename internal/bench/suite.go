@@ -18,6 +18,7 @@ import (
 	"servo/internal/mve"
 	"servo/internal/sc"
 	"servo/internal/scenario"
+	"servo/internal/servo/rstore"
 	"servo/internal/sim"
 	"servo/internal/workload"
 	"servo/internal/world"
@@ -105,6 +106,12 @@ func steps() []suiteStep {
 				"terrain_scan_speedup_x"},
 			func(f *File) error {
 				terrainScanMetrics(f)
+				return nil
+			}},
+		{fmt.Sprintf("storage prefetch observe (%d avatars, radius %d)", rstore.ObserveBenchAvatars, rstore.ObserveBenchRadius),
+			[]string{"store_observe_ns_per_avatar", "store_observe_allocs_per_op"},
+			func(f *File) error {
+				storeObserveMetrics(f)
 				return nil
 			}},
 		{"scenario " + ScenarioName,
@@ -387,6 +394,18 @@ func terrainScanMetrics(f *File) {
 	f.Add("terrain_scan_full_ns_per_player", "ns/player", Lower, false, fullNs/players)
 	f.Add("terrain_scan_full_allocs_per_op", "allocs/op", Lower, false, fullAllocs)
 	f.Add("terrain_scan_speedup_x", "x", Higher, true, fullNs/incNs)
+}
+
+// storeObserveMetrics measures one storage prefetch observation
+// (rstore.ObserveAvatars) over rstore.NewObserveBench's load: clustered
+// avatars, every chunk around them already local, so the measurement is
+// the union walk plus the cache's local-hit checks and no fetch is
+// issued. The steady state must not allocate.
+func storeObserveMetrics(f *File) {
+	store, avatars := rstore.NewObserveBench(13)
+	ns, allocs := wallBench(func() { store.ObserveAvatars(avatars, rstore.ObserveBenchRadius) })
+	f.Add("store_observe_ns_per_avatar", "ns/avatar", Lower, true, ns/float64(len(avatars)))
+	f.Add("store_observe_allocs_per_op", "allocs/op", Lower, true, allocs)
 }
 
 // scenarioMetrics runs the bundled benchmark scenario and records its

@@ -32,9 +32,18 @@ type BatchingChunkStore interface {
 }
 
 // AvatarObserver is implemented by stores that pre-fetch based on avatar
-// positions (Servo's terrain cache, §III-E).
+// positions (Servo's terrain cache, §III-E). The server calls it once per
+// terrain scan with its avatars (ghosts included) and a radius of
+// ViewDistance+PrefetchMargin blocks.
+//
+// positions is borrowed for the call only: the server double-buffers it
+// across a sim.Commit and refills it on a later scan, so an
+// implementation must not retain it. Order matters: a bounded prefetch
+// budget favours earlier avatars. Implementations must be deterministic
+// in positions and radius: the fetches they start draw storage latencies
+// from the clock's RNG in the order they are issued.
 type AvatarObserver interface {
-	ObserveAvatars(positions []world.BlockPos, viewDistance int)
+	ObserveAvatars(positions []world.BlockPos, radius int)
 }
 
 // SyncingChunkStore is an optional ChunkStore extension whose writes

@@ -1181,8 +1181,8 @@ func (f *flipStore) LoadPlayer(name string, cb func([]byte, bool)) {
 	cb(nil, false)
 }
 
-func (f *flipStore) ObserveAvatars(positions []world.BlockPos, viewDistance int) {
+func (f *flipStore) ObserveAvatars(positions []world.BlockPos, radius int) {
 	if o, ok := f.cur().(mve.AvatarObserver); ok {
-		o.ObserveAvatars(positions, viewDistance)
+		o.ObserveAvatars(positions, radius)
 	}
 }

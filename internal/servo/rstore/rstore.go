@@ -25,6 +25,8 @@ type Store struct {
 	// is handed, so writes copy the scratch into one exact-size slice —
 	// still dropping Encode's index side-table and growth reallocations.
 	scratch []byte
+	// obs is ObserveAvatars' reused working memory (observe.go).
+	obs observeScratch
 
 	// DecodeFailures counts stored objects that failed to decode
 	// (corruption guard; always zero in healthy runs).
@@ -119,21 +121,4 @@ func (s *Store) LoadPlayer(name string, cb func(data []byte, ok bool)) {
 	s.cache.Remote().GetRetrying(PlayerKey(name), func(data []byte, err error) {
 		cb(data, err == nil)
 	})
-}
-
-// ObserveAvatars implements mve.AvatarObserver: pre-fetch every chunk
-// within the pre-fetch radius of any avatar (§III-E: "pre-fetches terrain
-// data outside of, but close to, the player's view distance").
-func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
-	seen := make(map[world.ChunkPos]bool)
-	var batch []world.ChunkPos
-	for _, p := range positions {
-		for _, cp := range world.ChunksWithin(p, radius) {
-			if !seen[cp] {
-				seen[cp] = true
-				batch = append(batch, cp)
-			}
-		}
-	}
-	s.cache.Prefetch(batch)
 }
