@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchjson benchdiff replaygate bordergate scalegate
+.PHONY: ci vet fmtcheck build test race fuzzsmoke validate sim bench benchsmoke benchjson benchdiff replaygate bordergate scalegate
 
-ci: vet fmtcheck build race validate replaygate bordergate scalegate benchsmoke benchdiff
+ci: vet fmtcheck build race fuzzsmoke validate replaygate bordergate scalegate benchsmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,23 @@ test:
 # 10m per-package budget.
 race:
 	$(GO) test -race -count=1 -p 1 -timeout 30m ./...
+
+# fuzzsmoke runs every native fuzz target in the module for 10s,
+# one `go test -fuzz` per target (the fuzzer takes one target per run):
+# the decoders at trust boundaries must reject, never panic on, any
+# input. Targets are discovered with `go test -list`, so a new Fuzz*
+# function joins the smoke run without editing this file. Minimisation
+# is capped at 2s: the fuzzer stops to shrink each new
+# interesting input, and shrinking a multi-kilobyte chunk encoding at
+# the default 60s would spend the whole smoke budget there.
+fuzzsmoke:
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	echo "$$list" | \
+	awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg fn; do \
+		echo "fuzzsmoke: $$fn ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 10s -fuzzminimizetime 2s $$pkg || exit 1; \
+	done
 
 # validate parses and validates every bundled scenario without running it.
 validate:

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"servo"
 	"servo/internal/cluster"
@@ -20,6 +21,7 @@ import (
 	"servo/internal/scenario"
 	"servo/internal/servo/rstore"
 	"servo/internal/sim"
+	"servo/internal/terrain"
 	"servo/internal/workload"
 	"servo/internal/world"
 )
@@ -88,8 +90,8 @@ func steps() []suiteStep {
 				f.Add("tick_parallel_speedup_saturated_unlocked_x", "x", Higher, false, unlocked)
 				return nil
 			}},
-		{"chunk codec round trip (zero-alloc contract)",
-			[]string{"chunk_codec_ns_per_op", "chunk_codec_allocs_per_op"},
+		{"chunk codec round trip (zero-alloc contract) and resident size",
+			[]string{"chunk_codec_ns_per_op", "chunk_codec_allocs_per_op", "chunk_resident_bytes_per_chunk"},
 			func(f *File) error {
 				chunkCodecMetrics(f)
 				return nil
@@ -459,9 +461,11 @@ func scenarioMetrics(f *File) error {
 
 // chunkCodecMetrics measures one warm encode+decode round trip of a
 // terrain-shaped chunk through the zero-alloc paths: EncodeAppend into a
-// reused buffer and DecodeChunkInto over a pool-recycled chunk. The
-// allocs/op gate is an exact zero — the chunk-churn fast path's whole
-// premise is that codec work stopped feeding the garbage collector.
+// reused buffer and DecodeChunkInto into a reused chunk, whose section
+// arrays the decode refills in place. The allocs/op gate is an exact
+// zero — the chunk-churn fast path's whole premise is that codec work
+// stopped feeding the garbage collector. It also records what a decoded
+// chunk of natural terrain holds on the heap.
 func chunkCodecMetrics(f *File) {
 	c := world.NewChunk(world.ChunkPos{X: 2, Z: -7})
 	for x := 0; x < world.ChunkSizeX; x++ {
@@ -482,13 +486,40 @@ func chunkCodecMetrics(f *File) {
 	})
 	f.Add("chunk_codec_ns_per_op", "ns/op", Lower, true, ns)
 	f.Add("chunk_codec_allocs_per_op", "allocs/op", Lower, true, allocs)
+	f.Add("chunk_resident_bytes_per_chunk", "B/chunk", Lower, true, chunkResidentBytes())
+}
+
+// residentSide is the side, in chunks, of the default-terrain area whose
+// decoded chunks chunkResidentBytes weighs.
+const residentSide = 8
+
+// chunkResidentBytes returns the bytes held per chunk by the
+// residentSide² decoded chunks of Default{Seed: 42} terrain: what a
+// loaded chunk of natural terrain costs in memory. It is computed from
+// the representation — the Chunk struct plus one block array per dense
+// section — so it is exact and independent of the heap's other tenants.
+func chunkResidentBytes() float64 {
+	gen := terrain.Default{Seed: 42}
+	sectionBytes := world.BlocksPerSection * unsafe.Sizeof(world.Block{})
+	var total uintptr
+	for x := 0; x < residentSide; x++ {
+		for z := 0; z < residentSide; z++ {
+			c, err := world.DecodeChunk(gen.Generate(world.ChunkPos{X: x, Z: z}).Encode())
+			if err != nil {
+				panic(err)
+			}
+			dense := uintptr(world.SectionsPerChunk - c.UniformSections())
+			total += unsafe.Sizeof(*c) + dense*sectionBytes
+		}
+	}
+	return float64(total) / (residentSide * residentSide)
 }
 
 // chunkStormMetrics measures the chunk-churn fast path end to end: a
 // four-shard cluster over a cold default world takes a 32-player
 // star-walker herd whose view rectangles straddle every tile seam, so one
 // measured window exercises batched store loads, bounded nearest-first
-// generation dispatch, pooled decode, and cross-shard dedup adoption at
+// generation dispatch, chunk decode, and cross-shard dedup adoption at
 // once. The virtual work is seed-deterministic, so rounds differ only in
 // wall time and the best round is kept; the per-chunk apply cost divides
 // that wall time by the (identical every round) chunks applied. The

@@ -77,9 +77,6 @@ type Config struct {
 	// GenDedupSize bounds the dedup cache in encoded chunks
 	// (0 → tgen.DefaultGenCacheSize).
 	GenDedupSize int
-	// ChunkPoolSize bounds each shard's chunk freelist
-	// (0 → world.DefaultChunkPoolCap).
-	ChunkPoolSize int
 	// StorageTier for remote storage (0 → Premium).
 	StorageTier blob.Tier
 	// Remote, if non-nil, is used as the backing object store instead of
@@ -181,9 +178,6 @@ type ShardComponents struct {
 	// store (nil unless ServerlessRS with the cache enabled).
 	Cache  *tcache.Cache
 	RStore *rstore.Store
-	// Pool is this shard's chunk freelist, shared by the game loop, the
-	// store decode path, and the terrain backend.
-	Pool *world.ChunkPool
 }
 
 // System is an assembled Servo (or baseline) instance: one shard by
@@ -352,11 +346,6 @@ func New(clock sim.Clock, cfg Config) *System {
 		// completion order. Under the real-time clock the commit is a
 		// direct call.
 		invoke := &commitInvoker{clock: shardClock, platform: sys.Platform}
-		// One chunk freelist per shard, shared by the game loop (unload
-		// and superseded-apply recycling), the store decode path, and the
-		// terrain backend, so recycled chunks feed every decode.
-		shard.Pool = world.NewChunkPool(cfg.ChunkPoolSize)
-		srvCfg.ChunkPool = shard.Pool
 		if cfg.ServerlessSC {
 			shard.SpecExec = specexec.NewManager(invoke, SCFunctionName, spec)
 			srvCfg.SC = &scAdapter{mgr: shard.SpecExec}
@@ -364,7 +353,6 @@ func New(clock sim.Clock, cfg Config) *System {
 		if cfg.ServerlessTG {
 			shard.TGBackend = tgen.NewBackend(invoke, tgen.FunctionName)
 			shard.TGBackend.SetMaxInflight(cfg.TGMaxInflight)
-			shard.TGBackend.UseChunkPool(shard.Pool)
 			if sys.GenCache != nil {
 				shard.TGBackend.UseDedup(shardClock, sys.GenCache)
 			}
@@ -373,7 +361,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		switch {
 		case cfg.ServerlessRS:
 			if cfg.DisableCache {
-				srvCfg.Store = &uncachedStore{remote: sys.Remote, pool: shard.Pool}
+				srvCfg.Store = &uncachedStore{remote: sys.Remote}
 			} else {
 				cacheCfg := tcache.DefaultConfig()
 				if cfg.CacheConfig != nil {
@@ -382,11 +370,10 @@ func New(clock sim.Clock, cfg Config) *System {
 				shard.Cache = tcache.New(clock, sys.Remote, cacheCfg)
 				shard.Cache.StartFlusher()
 				shard.RStore = rstore.New(shard.Cache)
-				shard.RStore.UseChunkPool(shard.Pool)
 				srvCfg.Store = shard.RStore
 			}
 		case cfg.LocalStore:
-			srvCfg.Store = &uncachedStore{remote: sys.Remote, pool: shard.Pool}
+			srvCfg.Store = &uncachedStore{remote: sys.Remote}
 		}
 		if cfg.WrapStore != nil && srvCfg.Store != nil {
 			srvCfg.Store = cfg.WrapStore(srvCfg.Store)
@@ -561,8 +548,6 @@ func NewBlobChunkStore(remote *blob.Store) mve.ChunkStore {
 // serverless configuration.
 type uncachedStore struct {
 	remote *blob.Store
-	// pool recycles decoded chunks; nil falls back to plain allocation.
-	pool *world.ChunkPool
 	// scratch is the reused encode buffer; the blob store retains the
 	// bytes it is handed, so writes copy it into one exact-size slice.
 	scratch []byte
@@ -579,9 +564,8 @@ func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 			cb(nil, false)
 			return
 		}
-		c := u.pool.Get(pos)
+		c := world.NewChunk(pos)
 		if derr := world.DecodeChunkInto(c, data); derr != nil {
-			u.pool.Put(c)
 			cb(nil, false)
 			return
 		}

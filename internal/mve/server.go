@@ -75,11 +75,6 @@ type Config struct {
 	Terrain TerrainBackend
 	// Store enables chunk persistence.
 	Store ChunkStore
-	// ChunkPool recycles Chunk allocations through the churn paths
-	// (far-chunk unloads, superseded applies). Typically shared with the
-	// store and terrain backend so recycled chunks feed their decode
-	// paths. Nil disables recycling (plain allocation).
-	ChunkPool *world.ChunkPool
 	// MaxChunkSendsPerTick throttles per-player chunk serialisation
 	// (default 4, as real servers do).
 	MaxChunkSendsPerTick int
@@ -192,13 +187,9 @@ type Server struct {
 	loadFn       func()
 	loadCB       func(pos world.ChunkPos, c *world.Chunk, ok bool)
 	// storeBatch groups this tick's persistence writes into one commit
-	// (flushFn); recycleBatch holds the chunks to return to the pool once
-	// those writes have been issued (stores encode synchronously, so a
-	// chunk is recyclable the moment its Store call returns).
-	storeBatch   []*world.Chunk
-	recycleBatch []*world.Chunk
-	flushFn      func()
-	pool         *world.ChunkPool
+	// (flushFn).
+	storeBatch []*world.Chunk
+	flushFn    func()
 	// drainBuf is the reused per-tick terrain-drain slice (DrainAppend).
 	drainBuf []*world.Chunk
 	// newlyLoaded accumulates chunk positions applied since the last
@@ -286,7 +277,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		TickSeries:    &metrics.TimeSeries{},
 	}
 	s.tickFn = s.tickOnce
-	s.pool = cfg.ChunkPool
 	// Persistent closures for the per-tick batched commits, so the
 	// steady-state tick allocates nothing. loadCB answers one position of
 	// a batched load; loadFn issues the whole pending batch (one LoadMany
@@ -320,11 +310,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 			s.storeBatch[i] = nil
 		}
 		s.storeBatch = s.storeBatch[:0]
-		for i, c := range s.recycleBatch {
-			s.pool.Put(c)
-			s.recycleBatch[i] = nil
-		}
-		s.recycleBatch = s.recycleBatch[:0]
 	}
 	if cfg.Region.Table != nil {
 		s.tileTopo = cfg.Region.Table.Topology()
@@ -660,10 +645,9 @@ func (s *Server) tickOnce() {
 		s.unloadFarChunks()
 	}
 	// Flush the tick's grouped persistence writes (generated terrain from
-	// step 3, unloads from step 4) as one commit, then recycle the written
-	// chunks. The writes reach shared substrate in the same per-chunk
-	// order the old per-chunk commits used.
-	if len(s.storeBatch) > 0 || len(s.recycleBatch) > 0 {
+	// step 3, unloads from step 4) as one commit; they reach shared
+	// substrate in the order they were queued.
+	if len(s.storeBatch) > 0 {
 		sim.Commit(s.clock, s.flushFn)
 	}
 
@@ -841,42 +825,33 @@ func (s *Server) flushChunkLoads() {
 // applyCompletedChunks integrates generated and store-loaded chunks into
 // the world and returns the work cost. Persistence writes for freshly
 // generated terrain are grouped into the tick's store batch (one commit
-// per tick, flushed by tickOnce) instead of one commit per chunk, and
-// superseded chunks are recycled through the pool.
+// per tick, flushed by tickOnce) instead of one commit per chunk.
 func (s *Server) applyCompletedChunks() time.Duration {
 	var cost time.Duration
-	apply := func(c *world.Chunk) bool {
+	apply := func(c *world.Chunk) {
 		if s.world.Loaded(c.Pos) {
-			return false // superseded (e.g. reloaded while generating)
+			return // superseded (e.g. reloaded while generating)
 		}
 		s.applyChunk(c, true)
 		if s.tick > bootGraceTicks {
 			cost += s.cost.ChunkApply
 		}
 		s.ChunksApplied.Inc()
-		return true
 	}
 	for i, c := range s.loadedFromStore {
-		if !apply(c) {
-			s.pool.Put(c)
-		}
+		apply(c)
 		s.loadedFromStore[i] = nil
 	}
 	s.loadedFromStore = s.loadedFromStore[:0]
 	s.drainBuf = s.terrain.DrainAppend(s.drainBuf[:0])
 	for i, c := range s.drainBuf {
-		applied := apply(c)
+		apply(c)
 		if s.store != nil && s.owned(c.Pos) {
 			// Persist freshly generated terrain — superseded chunks
 			// included, as before: their generation still happened and the
 			// stored bytes are identical.
 			s.noteStore(c.Pos)
 			s.storeBatch = append(s.storeBatch, c)
-			if !applied {
-				s.recycleBatch = append(s.recycleBatch, c)
-			}
-		} else if !applied {
-			s.pool.Put(c)
 		}
 		s.drainBuf[i] = nil
 	}
@@ -987,14 +962,9 @@ func (s *Server) unloadFarChunks() {
 		}
 		c := s.world.RemoveChunk(cp)
 		if s.store != nil && c != nil && s.owned(cp) {
-			// The write joins the tick's grouped store commit; the chunk is
-			// recycled inside that same commit, after its Store call.
+			// The write joins the tick's grouped store commit.
 			s.noteStore(cp)
 			s.storeBatch = append(s.storeBatch, c)
-			s.recycleBatch = append(s.recycleBatch, c)
-		} else {
-			// No pending write references the chunk: recycle it directly.
-			s.pool.Put(c)
 		}
 		// Drop client knowledge so re-approach resends, and invalidate
 		// the demand cursor of any player whose cached rect held the

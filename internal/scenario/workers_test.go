@@ -20,7 +20,7 @@ import (
 // elastic scenarios — the autoscaler's scale events, drains, and
 // quarantine decisions are part of the replay surface too, and the
 // generation storm — batched store loads, bounded generation dispatch,
-// pooled decode, and cross-shard dedup adoption must commit in the same
+// chunk decode, and cross-shard dedup adoption must commit in the same
 // lane order at any pool size.
 var workersGateScenarios = []string{
 	"border-patrol", "sharded-stress", "saturated-lockstep",

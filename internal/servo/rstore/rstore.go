@@ -18,9 +18,6 @@ import (
 // Store is a cached remote chunk store.
 type Store struct {
 	cache *tcache.Cache
-	// pool recycles decoded chunks (UseChunkPool); nil falls back to
-	// plain allocation.
-	pool *world.ChunkPool
 	// scratch is the reused encode buffer: the cache retains the bytes it
 	// is handed, so writes copy the scratch into one exact-size slice —
 	// still dropping Encode's index side-table and growth reallocations.
@@ -41,10 +38,6 @@ func New(cache *tcache.Cache) *Store {
 // Cache exposes the underlying terrain cache (for metrics).
 func (s *Store) Cache() *tcache.Cache { return s.cache }
 
-// UseChunkPool makes the store decode loads into recycled chunks from p
-// (typically the owning shard's pool).
-func (s *Store) UseChunkPool(p *world.ChunkPool) { s.pool = p }
-
 // Load implements mve.ChunkStore: fetch through the cache; a missing
 // object reports ok=false so the server generates the chunk instead.
 func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
@@ -59,9 +52,8 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 			cb(nil, false)
 			return
 		}
-		c := s.pool.Get(pos)
+		c := world.NewChunk(pos)
 		if derr := world.DecodeChunkInto(c, data); derr != nil {
-			s.pool.Put(c)
 			s.DecodeFailures++
 			cb(nil, false)
 			return

@@ -141,7 +141,6 @@ type Backend struct {
 	focus   []world.BlockPos
 
 	done []*world.Chunk
-	pool *world.ChunkPool
 
 	// Cross-shard dedup (UseDedup): adoption checks are queued on the
 	// shard's lane and resolved through the commit buffer, so the shared
@@ -186,10 +185,6 @@ func (b *Backend) SetMaxInflight(n int) {
 	b.maxInflight = n
 }
 
-// UseChunkPool makes the backend decode generated chunks into recycled
-// chunks from p (typically the owning shard's pool).
-func (b *Backend) UseChunkPool(p *world.ChunkPool) { b.pool = p }
-
 // UseDedup attaches the shared cross-shard generation cache. clock must be
 // the owning shard's clock: adoption runs through its commit buffer so
 // cache access stays in deterministic serial order.
@@ -228,14 +223,14 @@ func (b *Backend) Request(pos world.ChunkPos) {
 }
 
 // drainAdoptions resolves queued positions against the shared cache
-// (serial context): hits decode into pooled chunks and complete without
+// (serial context): hits decode into fresh chunks and complete without
 // an invocation; misses fall through to the dispatch queue.
 func (b *Backend) drainAdoptions() {
 	b.adoptQueued = false
 	for i, pos := range b.adoptQueue {
 		b.adoptQueue[i] = world.ChunkPos{}
 		if data := b.dedup.Lookup(pos); data != nil {
-			c := b.pool.Get(pos)
+			c := world.NewChunk(pos)
 			if err := world.DecodeChunkInto(c, data); err == nil {
 				b.GenDeduped++
 				delete(b.pending, pos)
@@ -243,7 +238,6 @@ func (b *Backend) drainAdoptions() {
 				continue
 			}
 			// Cache held undecodable bytes: count it and regenerate.
-			b.pool.Put(c)
 			b.DecodeErrors++
 		}
 		b.queue = append(b.queue, pos)
@@ -340,9 +334,8 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 	}
 	pos := r.pos
 	delete(b.pending, pos)
-	c := b.pool.Get(pos)
+	c := world.NewChunk(pos)
 	if err := world.DecodeChunkInto(c, inv.Response); err != nil {
-		b.pool.Put(c)
 		b.Failures++
 		b.DecodeErrors++
 		b.release(r)

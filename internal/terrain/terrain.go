@@ -48,13 +48,12 @@ func (Flat) Generate(pos world.ChunkPos) *world.Chunk {
 	c := world.NewChunk(pos)
 	for x := 0; x < world.ChunkSizeX; x++ {
 		for z := 0; z < world.ChunkSizeZ; z++ {
-			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
-			for y := 1; y < FlatSurfaceY; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Dirt})
-			}
-			c.Set(x, FlatSurfaceY, z, world.Block{ID: world.Grass})
+			c.FillColumn(x, z, 0, 1, world.Block{ID: world.Bedrock})
+			c.FillColumn(x, z, 1, FlatSurfaceY, world.Block{ID: world.Dirt})
+			c.FillColumn(x, z, FlatSurfaceY, FlatSurfaceY+1, world.Block{ID: world.Grass})
 		}
 	}
+	c.Compact()
 	c.GenWork = flatWorkUnits
 	return c
 }
@@ -97,16 +96,13 @@ func (g Default) Generate(pos world.ChunkPos) *world.Chunk {
 		for z := 0; z < world.ChunkSizeZ; z++ {
 			wx, wz := origin.X+x, origin.Z+z
 			h := g.heightAt(wx, wz)
-			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
-			for y := 1; y <= h && y < world.ChunkSizeY; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Stone})
-			}
+			c.FillColumn(x, z, 0, 1, world.Block{ID: world.Bedrock})
+			c.FillColumn(x, z, 1, h+1, world.Block{ID: world.Stone})
 			g.decorateColumn(c, x, z, h)
-			for y := h + 1; y <= seaLevel; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Water})
-			}
+			c.FillColumn(x, z, h+1, seaLevel+1, world.Block{ID: world.Water})
 		}
 	}
+	c.Compact()
 	c.GenWork = defaultWorkUnits
 	return c
 }
@@ -128,11 +124,9 @@ func (g Default) decorateColumn(c *world.Chunk, x, z, h int) {
 	default:
 		surface = world.Grass
 	}
-	c.Set(x, h, z, world.Block{ID: surface})
+	c.FillColumn(x, z, h, h+1, world.Block{ID: surface})
 	if surface == world.Grass || surface == world.Sand {
-		for y := h - 1; y > h-4 && y > 0; y-- {
-			c.Set(x, y, z, world.Block{ID: world.Dirt})
-		}
+		c.FillColumn(x, z, max(h-3, 1), h, world.Block{ID: world.Dirt})
 	}
 }
 

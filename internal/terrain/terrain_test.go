@@ -168,3 +168,41 @@ func TestGeneratedChunkEncodesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratedChunksAreCompact pins the sectioned representation of
+// generated terrain: Compact leaves no dense section that holds a single
+// block type, so a generated chunk is as small as a decoded one, and
+// natural terrain is mostly uniform sections (863 of 1024 on this area).
+func TestGeneratedChunksAreCompact(t *testing.T) {
+	flat := Flat{}.Generate(world.ChunkPos{X: 5})
+	if got := flat.UniformSections(); got != world.SectionsPerChunk-1 {
+		t.Fatalf("flat chunk has %d uniform sections, want %d", got, world.SectionsPerChunk-1)
+	}
+	g := Default{Seed: 42}
+	uniform, total := 0, 0
+	for x := 0; x < 8; x++ {
+		for z := 0; z < 8; z++ {
+			c := g.Generate(world.ChunkPos{X: x, Z: z})
+			dec, err := world.DecodeChunk(c.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.UniformSections() != dec.UniformSections() {
+				t.Fatalf("chunk (%d,%d): %d uniform sections generated, %d decoded", x, z, c.UniformSections(), dec.UniformSections())
+			}
+			uniform += c.UniformSections()
+			total += world.SectionsPerChunk
+		}
+	}
+	t.Logf("%d of %d default-terrain sections uniform", uniform, total)
+	if uniform*100 < total*80 {
+		t.Fatalf("%d of %d default-terrain sections uniform, want at least 80%%", uniform, total)
+	}
+}
+
+func BenchmarkDefaultGenerate(b *testing.B) {
+	g := Default{Seed: 42}
+	for i := 0; i < b.N; i++ {
+		g.Generate(world.ChunkPos{X: i % 8, Z: i / 8 % 8})
+	}
+}

@@ -2,7 +2,10 @@
 // chunk data structures, coordinates, and a compact binary chunk encoding
 // (palette plus bit-packed indices) used for persistence and the wire
 // protocol. Chunks match Minecraft's dimensions: 16×16 columns of 256
-// blocks, as the paper uses for its terrain-generation experiments.
+// blocks, as the paper uses for its terrain-generation experiments. A
+// chunk is held as 16 vertical 16³ sections, each either one block
+// (uniform) or its own block array (dense), so memory and codec work
+// scale with the sections that mix block types.
 package world
 
 import "fmt"
